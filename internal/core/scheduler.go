@@ -50,9 +50,11 @@ func (s *Scheduler[In, Out]) Run2Context(ctx context.Context, in []In, out []Out
 // (RecycleCombinationMap) and runs the analytics over exactly one window's
 // elements. It is the narrow re-entrant entry point the streaming layer
 // compiles each fired window onto: the result is byte-identical to a fresh
-// scheduler run over the same elements, but the combination map's buckets,
-// the sharded store's shards or arena slabs, and the engine stay warm from
-// window to window.
+// scheduler run over the same elements under the static engine and, under
+// the stealing engine, wherever the arithmetic is exact — steals regroup
+// floating-point sums, which then agree to rounding (docs/ARCHITECTURE.md,
+// "Execution engine"). The combination map's buckets, the sharded store's
+// shards or arena slabs, and the engine stay warm from window to window.
 func (s *Scheduler[In, Out]) RunWindowContext(ctx context.Context, in []In, out []Out) error {
 	s.RecycleCombinationMap()
 	return s.run(ctx, in, out, false)
